@@ -5,7 +5,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet test bench-quick bench bench-alloc bench-compare bench-smoke serve-smoke traffic-smoke asym-smoke profile-smoke full-results docs-check ci
+.PHONY: all build vet test fuzz bench-quick bench bench-alloc bench-compare bench-smoke serve-smoke traffic-smoke asym-smoke profile-smoke full-results docs-check ci
 
 all: vet test
 
@@ -27,7 +27,14 @@ docs-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
-ci: docs-check test bench-alloc bench-smoke serve-smoke traffic-smoke asym-smoke profile-smoke
+ci: docs-check test fuzz bench-alloc bench-smoke serve-smoke traffic-smoke asym-smoke profile-smoke
+
+# fuzz runs each parser and decoder fuzz target for a few seconds past its
+# committed seed corpus (testdata/fuzz/ beside the target; plain `go test`
+# replays the corpus alone). A failing input is written there too.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzParseINI$$' -fuzztime=3s ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLedger$$' -fuzztime=3s ./internal/obs
 
 # serve-smoke end-to-end checks the live introspection plane: quartzbench
 # -serve on an ephemeral port with a streaming ledger sink, probed by
@@ -59,9 +66,10 @@ profile-smoke:
 
 # bench-quick regenerates two representative artifacts on the parallel
 # runner — a fast smoke test of the whole stack — and runs the hot-path
-# micro-benchmarks (cache walk, core load, kernel dispatch, emulated epoch
-# close, ledger append), which must report 0 allocs/op on steady-state
-# paths; see doc/performance.md.
+# micro-benchmarks (cache walk and random-line eviction, core load and
+# prefetch fill, kernel dispatch, emulated epoch close, ledger append),
+# which must report 0 allocs/op on steady-state paths; see
+# doc/performance.md.
 bench-quick:
 	$(GO) run ./cmd/quartzbench -exp table2,fig8 -scale quick -parallel 4
 	$(GO) test -bench='BenchmarkCache|BenchmarkPrefetcher' -benchtime=100000x -run=^$$ ./internal/cache
@@ -73,11 +81,12 @@ bench-quick:
 
 # bench-alloc runs the allocation-regression gates: testing.AllocsPerRun
 # asserting zero allocations on the steady-state epoch-close, batched
-# load/store, prefetcher, ledger-append, and traffic measured-op paths. Runs
+# load/store, prefetcher, cache probe-and-fill, core prefetch fill,
+# ledger-append, and traffic measured-op paths. Runs
 # without -race (the race runtime allocates); `make test` still covers these
 # files race-enabled with the gates skipped.
 bench-alloc:
-	$(GO) test -run 'NoAllocs' -count=1 ./internal/bench ./internal/cache ./internal/obs ./internal/obs/vtprof ./internal/workload
+	$(GO) test -run 'NoAllocs' -count=1 ./internal/bench ./internal/cache ./internal/cpu ./internal/obs ./internal/obs/vtprof ./internal/workload
 
 # bench-compare times the quick suite experiment by experiment (min of
 # three passes each) with intra-experiment trial parallelism on, diffs

@@ -73,3 +73,27 @@ func BenchmarkPrefetcherObserveRandom(b *testing.B) {
 		p.Observe(uintptr(x) * 7919)
 	}
 }
+
+// BenchmarkCacheInsertEvictRandom measures steady-state insert with eviction
+// into a 2 MiB 16-way cache (a modeled L3) under random lines: every set is
+// full and the LRU way differs from fill to fill, so the victim choice
+// cannot ride a predicted branch the way the sequential stream above does.
+func BenchmarkCacheInsertEvictRandom(b *testing.B) {
+	c, err := New(Config{Name: "bench-l3", SizeBytes: 2 << 20, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := uint64(1)
+	next := func() uintptr {
+		x = x*6364136223846793005 + 1442695040888963407
+		return uintptr(x>>38) * 64 // 2^26 distinct lines, 128x the cache
+	}
+	for i := 0; i < 4*(2<<20)/64; i++ { // fill every set before timing
+		c.Insert(next(), false, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Insert(next(), false, 0)
+	}
+}

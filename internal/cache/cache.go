@@ -14,8 +14,23 @@
 // matches (~ways/255 per probe) are filtered by the exact tag compare, so
 // outcomes never depend on the hash. The full tag and the in-flight arrival
 // time live in one 16-byte record so a hit verifies and reads one metadata
-// line, while the LRU clocks stay in their own packed vector so the
-// eviction min-scan streams 8-byte values.
+// line, while the LRU keys stay in their own packed vector.
+//
+// Victim choice: a fill takes the first invalid way, which the signature
+// walk records as it goes, so a set kept partly empty by flushes never
+// looks at the LRU state. Only a full set picks the least recently used
+// way, and it does so without a data-dependent branch: each valid way's
+// LRU key is its last-touch clock shifted left by wayBits with the way's
+// own index in the low bits. The clocks are unique, so the smallest key is
+// the least recently used way and its low bits name it — one min reduction
+// over the set, selecting exactly the way a strict-minimum, earliest-index
+// scan over the clocks would.
+//
+// Probe and InsertSlot split a fill into its walk and its install, so a
+// caller that must look before it fills (the core's prefetcher probes L3
+// and L2, then issues the memory request, then fills both) walks each set
+// once; Insert is the walk and the same install in one call.
+//
 // A per-set MRU way hint resolves the common repeat-hit in one probe,
 // and a cache-global last-hit fast path (TouchLast) lets the CPU layer skip
 // the walk entirely for consecutive accesses to the same line. Every fast
@@ -25,8 +40,9 @@
 // the equivalence tests pin down).
 //
 // No-allocation contract: after New, the steady-state operations — Lookup,
-// TouchLast, Insert, Flush, Contains and the prefetcher's Observe — never
-// allocate. `make bench-alloc` gates this with testing.AllocsPerRun.
+// TouchLast, Insert, Probe, InsertSlot, Flush, Contains and the
+// prefetcher's Observe — never allocate. `make bench-alloc` gates this with
+// testing.AllocsPerRun.
 package cache
 
 import (
@@ -82,8 +98,8 @@ type Eviction struct {
 // meaningful only while the way's signature is nonzero). A hit verifies the
 // tag and reads the arrival from one 16-byte record — a single metadata
 // line — and an eviction reconstructs the victim's address from the same
-// line the insert is about to overwrite. The LRU clock stays in its own
-// packed vector so the eviction min-scan streams 8-byte values.
+// line the insert is about to overwrite. The LRU keys stay in their own
+// packed vector so the full-set min reduction streams 8-byte values.
 type wayMeta struct {
 	arrival sim.Time
 	tag     uintptr
@@ -94,19 +110,23 @@ type wayMeta struct {
 // Line state is held in parallel arrays indexed by set*ways+way. meta holds
 // each way's tag as tag+1 so that zero means "invalid way"; sigs holds a
 // one-byte hash of that value (0 = invalid way), the vector the set walk
-// actually scans. A way is valid iff its signature is nonzero.
+// actually scans. A way is valid iff its signature is nonzero. A valid
+// way's lastUse is its LRU key, useClk<<wayBits | way (see the package
+// comment); an invalid way's is never read.
 type Cache struct {
 	cfg     Config
 	sigs    []uint8   // signature of meta[i].tag per way; 0 = invalid
 	meta    []wayMeta // per way; fill arrival + tag
-	lastUse []uint64  // per way; LRU clock value of the last touch
+	lastUse []uint64  // per way; LRU key of the last touch
 	dirty   []bool    // per way
 	mru     []int32   // per set; way of the most recent hit/insert
 
 	numSets   int
 	ways      int
-	setMask   int  // numSets-1 when numSets is a power of two, else 0
-	lineShift uint // log2(LineSize) when it is a power of two
+	wayBits   uint   // bits.Len(ways-1): the way field of an LRU key
+	wayMask   uint64 // 1<<wayBits - 1
+	setMask   int    // numSets-1 when numSets is a power of two, else 0
+	lineShift uint   // log2(LineSize) when it is a power of two
 	linePow2  bool
 
 	// lastIdx/lastTag remember the most recently hit (or inserted) line for
@@ -150,9 +170,11 @@ func New(cfg Config) (*Cache, error) {
 		mru:     make([]int32, numSets),
 		numSets: numSets,
 		ways:    cfg.Ways,
+		wayBits: uint(bits.Len(uint(cfg.Ways - 1))),
 		setMask: mask,
 		lastIdx: -1,
 	}
+	c.wayMask = 1<<c.wayBits - 1
 	if cfg.LineSize&(cfg.LineSize-1) == 0 {
 		c.lineShift = uint(bits.TrailingZeros(uint(cfg.LineSize)))
 		c.linePow2 = true
@@ -199,7 +221,8 @@ func (c *Cache) setOf(tag uintptr) int {
 // the MRU probe, the walk and TouchLast are bit-identical by construction.
 func (c *Cache) hitAt(idx int, tag uintptr, now sim.Time, markDirty bool) (wait sim.Time) {
 	c.useClk++
-	c.lastUse[idx] = c.useClk
+	// A valid way's key already holds its way index in the low bits.
+	c.lastUse[idx] = c.useClk<<c.wayBits | c.lastUse[idx]&c.wayMask
 	if markDirty {
 		c.dirty[idx] = true
 	}
@@ -251,49 +274,70 @@ func (c *Cache) TouchLast(addr uintptr, now sim.Time, markDirty bool) (wait sim.
 	return c.hitAt(idx, tag, now, markDirty), true
 }
 
-// Contains reports whether the line holding addr is present, without
-// touching LRU or statistics.
-func (c *Cache) Contains(addr uintptr) bool {
+// Slot is the outcome of a Probe: the probed line's tag and set, and the
+// way the line occupies (when present) or the first invalid way of its set
+// (-1 when the set is full). It is a plain value, returned and passed in
+// registers.
+type Slot struct {
+	idx int // line index (set*ways+way), or -1
+	set int
+	tag uintptr
+}
+
+// Probe walks the set of the line holding addr once, without touching LRU
+// or statistics, and reports whether the line is present. The returned Slot
+// lets InsertSlot fill the line without walking the set again.
+func (c *Cache) Probe(addr uintptr) (s Slot, present bool) {
 	tag := c.tagOf(addr)
 	set := c.setOf(tag)
 	base := set * c.ways
 	want := tag + 1
 	sig := sigOf(want)
+	s = Slot{idx: -1, set: set, tag: tag}
 	if m := base + int(c.mru[set]); c.sigs[m] == sig && c.meta[m].tag == want {
-		return true
+		s.idx = m
+		return s, true
 	}
-	for i, s := range c.sigs[base : base+c.ways] {
-		if s == sig && c.meta[base+i].tag == want {
-			return true
+	for i, g := range c.sigs[base : base+c.ways] {
+		if g == sig && c.meta[base+i].tag == want {
+			s.idx = base + i
+			return s, true
+		}
+		if g == 0 && s.idx < 0 {
+			s.idx = base + i
 		}
 	}
-	return false
+	return s, false
+}
+
+// Contains reports whether the line holding addr is present, without
+// touching LRU or statistics.
+func (c *Cache) Contains(addr uintptr) bool {
+	_, ok := c.Probe(addr)
+	return ok
 }
 
 // Insert fills the line holding addr, evicting the LRU victim if the set is
 // full. arrival is when the fill data lands (demand fills arrive "now";
 // prefetches arrive later). The displaced line, if any, is returned so the
-// caller can issue a writeback.
+// caller can issue a writeback. A line already present is refreshed
+// instead: its LRU key is bumped, dirty is or-ed in and its arrival moves
+// earlier if this fill lands sooner.
 func (c *Cache) Insert(addr uintptr, dirty bool, arrival sim.Time) (ev Eviction, evicted bool) {
 	tag := c.tagOf(addr)
 	set := c.setOf(tag)
 	base := set * c.ways
 	want := tag + 1
 	sig := sigOf(want)
-	// First pass touches only the signature vector: it finds a matching way
-	// (already present) or the first invalid way. The LRU min-scan over the
-	// metadata records runs separately and only when the set is full — the
-	// same victim the reference single-pass walk selected (first invalid
-	// way, else strict minimum lastUse with earliest-index tiebreak), but
-	// the common steady-state insert streams through two compact vectors
-	// instead of interleaving loads and data-dependent branches.
-	firstInvalid := -1
+	// One pass over the signature vector finds the line (already present)
+	// or records the first invalid way, the victim when there is one.
+	free := -1
 	for i, s := range c.sigs[base : base+c.ways] {
 		if s == sig && c.meta[base+i].tag == want {
 			// Already present (e.g. racing prefetch): refresh.
 			idx := base + i
 			c.useClk++
-			c.lastUse[idx] = c.useClk
+			c.lastUse[idx] = c.useClk<<c.wayBits | uint64(i)
 			c.dirty[idx] = c.dirty[idx] || dirty
 			if arrival < c.meta[idx].arrival {
 				c.meta[idx].arrival = arrival
@@ -303,42 +347,66 @@ func (c *Cache) Insert(addr uintptr, dirty bool, arrival sim.Time) (ev Eviction,
 			c.lastTag = tag
 			return Eviction{}, false
 		}
-		if s == 0 && firstInvalid == -1 {
-			firstInvalid = base + i
+		if s == 0 && free == -1 {
+			free = base + i
 		}
 	}
-	victim := firstInvalid
-	if victim == -1 {
-		lu := c.lastUse[base : base+c.ways]
-		victim = base
-		min := lu[0]
-		for i := 1; i < len(lu); i++ {
-			if lu[i] < min {
-				min = lu[i]
-				victim = base + i
-			}
-		}
+	if free < 0 {
+		return c.InsertSlot(Slot{idx: -1, set: set, tag: tag}, dirty, arrival)
 	}
-	if c.sigs[victim] != 0 {
+	// Free way: the fast path of a set kept partly empty by flushes.
+	c.place(free, free-base, set, tag, sig, dirty, arrival)
+	return Eviction{}, false
+}
+
+// InsertSlot fills the line a Probe reported absent into s, evicting the
+// set's LRU way when the probe found no invalid way, and returns the
+// displaced line as Insert does. s must come from a Probe of this cache
+// with no other operation on the cache in between.
+func (c *Cache) InsertSlot(s Slot, dirty bool, arrival sim.Time) (ev Eviction, evicted bool) {
+	base := s.set * c.ways
+	victim := s.idx
+	if victim < 0 {
+		// Full set: the smallest key is the LRU way's, and its low bits
+		// name the way (the clocks are unique).
+		victim = base + int(minKey(c.lastUse[base:base+c.ways])&c.wayMask)
 		c.stats.Evictions++
 		if c.dirty[victim] {
 			c.stats.DirtyEvictions++
 		}
 		ev = Eviction{Addr: (c.meta[victim].tag - 1) * uintptr(c.cfg.LineSize), Dirty: c.dirty[victim]}
 		evicted = true
-		if c.lastIdx == victim {
-			c.lastIdx = -1
-		}
 	}
-	c.useClk++
-	c.sigs[victim] = sig
-	c.dirty[victim] = dirty
-	c.lastUse[victim] = c.useClk
-	c.meta[victim] = wayMeta{arrival: arrival, tag: want}
-	c.mru[set] = int32(victim - base)
-	c.lastIdx = victim
-	c.lastTag = tag
+	c.place(victim, victim-base, s.set, s.tag, sigOf(s.tag+1), dirty, arrival)
 	return ev, evicted
+}
+
+// place installs the line with tag (and its signature sig) into way of
+// set, line index idx, and makes it the set's MRU way and the cache's last
+// line.
+func (c *Cache) place(idx, way, set int, tag uintptr, sig uint8, dirty bool, arrival sim.Time) {
+	c.useClk++
+	c.sigs[idx] = sig
+	c.dirty[idx] = dirty
+	c.lastUse[idx] = c.useClk<<c.wayBits | uint64(way)
+	c.meta[idx] = wayMeta{arrival: arrival, tag: tag + 1}
+	c.mru[set] = int32(way)
+	c.lastIdx = idx
+	c.lastTag = tag
+}
+
+// minKey returns the smallest LRU key of a full set. It stays out of line:
+// inlined, its result would feed the victim's load addresses, and the
+// compiler then keeps a compare-and-branch per way instead of a conditional
+// move — the data-dependent branch the packed keys exist to remove.
+//
+//go:noinline
+func minKey(lu []uint64) uint64 {
+	m := lu[0]
+	for _, k := range lu[1:] {
+		m = min(m, k)
+	}
+	return m
 }
 
 // Flush invalidates the line holding addr, reporting whether it was present

@@ -116,42 +116,114 @@ func (c *refCache) Flush(addr uintptr) (present, dirty bool) {
 	return false, false
 }
 
+func (c *refCache) Contains(addr uintptr) bool {
+	tag := addr / uintptr(c.cfg.LineSize)
+	for _, ln := range c.set(addr) {
+		if ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
 // TestOptimizedMatchesReferenceTrace drives the optimized cache and the
 // reference model with identical pseudo-random operation traces (the mix a
 // core generates: mostly lookups with insert-on-miss, occasional store hits,
 // prefetch-style future arrivals and flushes) and requires every per-op
-// result and the final statistics to agree exactly.
+// result and the final statistics to agree exactly. Each primary cache has
+// an outer level twice its size and associativity, driven as a core drives
+// L2 and L3: demand misses look the line up there too, and a prefetch-style
+// op probes the outer level, then the primary, then fills both slots with
+// InsertSlot (the reference checks it as Contains followed by Insert). The
+// trace alternates flush-heavy phases, which keep sets partly empty so
+// fills take the first invalid way, with light ones that fill every set
+// and evict the LRU way; the test requires both kinds of fill.
 func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 	for _, cfg := range []Config{
 		smallConfig(),
 		{Name: "np2-sets", SizeBytes: 4096 * 3 / 2, Ways: 4, LineSize: 64, LookupLat: sim.Nanosecond},
 		{Name: "np2-line", SizeBytes: 48 * 96, Ways: 4, LineSize: 48, LookupLat: sim.Nanosecond},
+		{Name: "direct-mapped", SizeBytes: 64 * 64, Ways: 1, LineSize: 64, LookupLat: sim.Nanosecond},
+		{Name: "16-way", SizeBytes: 16 * 32 * 64, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond},
+		{Name: "20-way", SizeBytes: 20 * 16 * 64, Ways: 20, LineSize: 64, LookupLat: sim.Nanosecond},
 	} {
 		t.Run(cfg.Name, func(t *testing.T) {
-			opt := mustCache(t, cfg)
-			ref := newRefCache(cfg)
+			outerCfg := Config{Name: cfg.Name + "-outer", SizeBytes: 2 * cfg.SizeBytes,
+				Ways: 2 * cfg.Ways, LineSize: cfg.LineSize, LookupLat: sim.Nanosecond}
+			opt, outer := mustCache(t, cfg), mustCache(t, outerCfg)
+			ref, refOuter := newRefCache(cfg), newRefCache(outerCfg)
 			x := uint64(0x9e3779b97f4a7c15)
 			rnd := func(n uint64) uint64 {
 				x = x*6364136223846793005 + 1442695040888963407
 				return (x >> 33) % n
 			}
-			for op := 0; op < 50_000; op++ {
-				// Small address pool so sets conflict and evict heavily.
-				addr := uintptr(rnd(256)) * uintptr(cfg.LineSize) / 2
+			// The address pool spans about twice the outer level's lines
+			// (at least 128 lines) so sets conflict and evict heavily.
+			pool := max(uint64(256), uint64(8*cfg.SizeBytes/cfg.LineSize))
+			insert := func(op int, c *Cache, r *refCache, addr uintptr, dirty bool, arrival sim.Time) {
+				t.Helper()
+				e1, v1 := c.Insert(addr, dirty, arrival)
+				e2, v2 := r.Insert(addr, dirty, arrival)
+				if e1 != e2 || v1 != v2 {
+					t.Fatalf("op %d: %s Insert(%#x) = (%+v,%v), ref (%+v,%v)", op, c.cfg.Name, addr, e1, v1, e2, v2)
+				}
+			}
+			insertSlot := func(op int, c *Cache, r *refCache, s Slot, addr uintptr, arrival sim.Time) {
+				t.Helper()
+				e1, v1 := c.InsertSlot(s, false, arrival)
+				e2, v2 := r.Insert(addr, false, arrival)
+				if e1 != e2 || v1 != v2 {
+					t.Fatalf("op %d: %s InsertSlot(%#x) = (%+v,%v), ref (%+v,%v)", op, c.cfg.Name, addr, e1, v1, e2, v2)
+				}
+			}
+			probe := func(op int, c *Cache, r *refCache, addr uintptr) (Slot, bool) {
+				t.Helper()
+				s, in := c.Probe(addr)
+				if want := r.Contains(addr); in != want {
+					t.Fatalf("op %d: %s Probe(%#x) present = %v, ref %v", op, c.cfg.Name, addr, in, want)
+				}
+				return s, in
+			}
+			var freeFills, fullFills int
+			for op := 0; op < 60_000; op++ {
+				addr := uintptr(rnd(pool)) * uintptr(cfg.LineSize) / 2
 				now := sim.Time(rnd(1000)) * sim.Nanosecond
-				switch rnd(10) {
-				case 0: // flush
+				flushEvery := uint64(10)
+				if op/3000%2 == 1 { // flush-heavy phase
+					flushEvery = 2
+				}
+				switch {
+				case rnd(flushEvery) == 0: // flush both levels
 					p1, d1 := opt.Flush(addr)
 					p2, d2 := ref.Flush(addr)
 					if p1 != p2 || d1 != d2 {
 						t.Fatalf("op %d: Flush(%#x) = (%v,%v), ref (%v,%v)", op, addr, p1, d1, p2, d2)
 					}
-				case 1: // prefetch-style insert with future arrival
-					e1, v1 := opt.Insert(addr, false, now+100*sim.Nanosecond)
-					e2, v2 := ref.Insert(addr, false, now+100*sim.Nanosecond)
-					if e1 != e2 || v1 != v2 {
-						t.Fatalf("op %d: Insert(%#x) = (%+v,%v), ref (%+v,%v)", op, addr, e1, v1, e2, v2)
+					p1, d1 = outer.Flush(addr)
+					p2, d2 = refOuter.Flush(addr)
+					if p1 != p2 || d1 != d2 {
+						t.Fatalf("op %d: outer Flush(%#x) = (%v,%v), ref (%v,%v)", op, addr, p1, d1, p2, d2)
 					}
+				case rnd(8) == 0: // prefetch-style insert with future arrival
+					insert(op, opt, ref, addr, false, now+100*sim.Nanosecond)
+				case rnd(6) == 0: // prefetch fill: probe outer, probe primary, fill both
+					so, in := probe(op, outer, refOuter, addr)
+					if in {
+						break
+					}
+					sp, in := probe(op, opt, ref, addr)
+					if in {
+						break
+					}
+					for _, s := range []Slot{so, sp} {
+						if s.idx < 0 {
+							fullFills++
+						} else {
+							freeFills++
+						}
+					}
+					insertSlot(op, outer, refOuter, so, addr, now+100*sim.Nanosecond)
+					insertSlot(op, opt, ref, sp, addr, now+100*sim.Nanosecond)
 				default: // demand access, insert on miss
 					markDirty := rnd(4) == 0
 					h1, w1 := opt.Lookup(addr, now, markDirty)
@@ -159,17 +231,28 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 					if h1 != h2 || w1 != w2 {
 						t.Fatalf("op %d: Lookup(%#x) = (%v,%v), ref (%v,%v)", op, addr, h1, w1, h2, w2)
 					}
-					if !h1 {
-						e1, v1 := opt.Insert(addr, markDirty, now)
-						e2, v2 := ref.Insert(addr, markDirty, now)
-						if e1 != e2 || v1 != v2 {
-							t.Fatalf("op %d: fill Insert(%#x) = (%+v,%v), ref (%+v,%v)", op, addr, e1, v1, e2, v2)
-						}
+					if h1 {
+						break
 					}
+					h1, w1 = outer.Lookup(addr, now, false)
+					h2, w2 = refOuter.Lookup(addr, now, false)
+					if h1 != h2 || w1 != w2 {
+						t.Fatalf("op %d: outer Lookup(%#x) = (%v,%v), ref (%v,%v)", op, addr, h1, w1, h2, w2)
+					}
+					if !h1 {
+						insert(op, outer, refOuter, addr, false, now)
+					}
+					insert(op, opt, ref, addr, markDirty, now)
 				}
 			}
 			if opt.Stats() != ref.stats {
 				t.Errorf("final stats diverged: opt %+v, ref %+v", opt.Stats(), ref.stats)
+			}
+			if outer.Stats() != refOuter.stats {
+				t.Errorf("final outer stats diverged: opt %+v, ref %+v", outer.Stats(), refOuter.stats)
+			}
+			if freeFills < 100 || fullFills < 100 {
+				t.Errorf("InsertSlot fills: %d into a free way, %d into a full set; want at least 100 of each", freeFills, fullFills)
 			}
 		})
 	}

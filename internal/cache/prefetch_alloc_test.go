@@ -47,3 +47,32 @@ func BenchmarkPrefetcherObserve(b *testing.B) {
 		line++
 	}
 }
+
+// TestProbeInsertSlotNoAllocs gates the one-walk fill: Probe returns its
+// Slot by value and InsertSlot takes it back, so neither allocates, on the
+// free-way path or the full-set path.
+func TestProbeInsertSlotNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	c, err := New(Config{Name: "alloc-l3", SizeBytes: 64 << 10, Ways: 16, LineSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := uintptr(0)
+	fill := func() {
+		if s, in := c.Probe(line * 64); !in {
+			c.InsertSlot(s, false, 0)
+		}
+		line++
+	}
+	if allocs := testing.AllocsPerRun(500, fill); allocs != 0 { // sets still filling
+		t.Errorf("free-way fill: %v allocs/op, want 0", allocs)
+	}
+	for i := 0; i < 4*1024; i++ {
+		fill()
+	}
+	if allocs := testing.AllocsPerRun(500, fill); allocs != 0 {
+		t.Errorf("full-set fill: %v allocs/op, want 0", allocs)
+	}
+}

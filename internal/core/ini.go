@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -55,7 +56,7 @@ func ParseINI(r io.Reader) (Config, error) {
 	var cfg Config
 	latencyEnabled := true
 	bandwidthEnabled := true
-	var latReadNS, latWriteNS, latNVMWriteNS, latDRAMNS float64
+	var latRead, latWrite, latNVMWrite, latDRAM sim.Time
 	var bwReadMB, bwWriteMB float64
 
 	section := ""
@@ -99,29 +100,29 @@ func ParseINI(r io.Reader) (Config, error) {
 				}
 				latencyEnabled = b
 			case "read":
-				v, err := strconv.ParseFloat(value, 64)
+				v, err := parseTime(value, sim.Nanosecond)
 				if err != nil {
 					return fail(err)
 				}
-				latReadNS = v
+				latRead = v
 			case "write":
-				v, err := strconv.ParseFloat(value, 64)
+				v, err := parseTime(value, sim.Nanosecond)
 				if err != nil {
 					return fail(err)
 				}
-				latWriteNS = v
+				latWrite = v
 			case "nvm_write":
-				v, err := strconv.ParseFloat(value, 64)
+				v, err := parseTime(value, sim.Nanosecond)
 				if err != nil {
 					return fail(err)
 				}
-				latNVMWriteNS = v
+				latNVMWrite = v
 			case "dram":
-				v, err := strconv.ParseFloat(value, 64)
+				v, err := parseTime(value, sim.Nanosecond)
 				if err != nil {
 					return fail(err)
 				}
-				latDRAMNS = v
+				latDRAM = v
 			default:
 				return fail(fmt.Errorf("unknown key"))
 			}
@@ -134,13 +135,13 @@ func ParseINI(r io.Reader) (Config, error) {
 				}
 				bandwidthEnabled = b
 			case "read", "model":
-				v, err := strconv.ParseFloat(value, 64)
+				v, err := parseFinite(value)
 				if err != nil {
 					return fail(err)
 				}
 				bwReadMB = v
 			case "write":
-				v, err := strconv.ParseFloat(value, 64)
+				v, err := parseFinite(value)
 				if err != nil {
 					return fail(err)
 				}
@@ -149,11 +150,10 @@ func ParseINI(r io.Reader) (Config, error) {
 				return fail(fmt.Errorf("unknown key"))
 			}
 		case "epochs":
-			v, err := strconv.ParseFloat(value, 64)
+			d, err := parseTime(value, sim.Millisecond)
 			if err != nil {
 				return fail(err)
 			}
-			d := sim.Time(v * float64(sim.Millisecond))
 			switch key {
 			case "min":
 				cfg.MinEpoch = d
@@ -241,11 +241,11 @@ func ParseINI(r io.Reader) (Config, error) {
 	}
 
 	if latencyEnabled {
-		cfg.NVMLatency = sim.FromNanos(latReadNS)
-		cfg.WriteLatency = sim.FromNanos(latWriteNS)
-		cfg.NVMWriteLatency = sim.FromNanos(latNVMWriteNS)
+		cfg.NVMLatency = latRead
+		cfg.WriteLatency = latWrite
+		cfg.NVMWriteLatency = latNVMWrite
 	}
-	cfg.DRAMLatency = sim.FromNanos(latDRAMNS)
+	cfg.DRAMLatency = latDRAM
 	if bandwidthEnabled {
 		cfg.NVMBandwidth = bwReadMB * 1e6
 		cfg.NVMWriteBandwidth = bwWriteMB * 1e6
@@ -261,6 +261,33 @@ func LoadINIFile(path string) (Config, error) {
 	}
 	defer func() { _ = f.Close() }()
 	return ParseINI(f)
+}
+
+// parseFinite parses a number, rejecting NaN and the infinities, which no
+// knob gives a meaning.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite value %q", s)
+	}
+	return v, nil
+}
+
+// parseTime parses a number of units as a sim.Time, rejecting values the
+// conversion cannot represent (its result would be undefined).
+func parseTime(s string, unit sim.Time) (sim.Time, error) {
+	v, err := parseFinite(s)
+	if err != nil {
+		return 0, err
+	}
+	f := v * float64(unit)
+	if f >= math.MaxInt64 || f <= math.MinInt64 {
+		return 0, fmt.Errorf("%q out of range", s)
+	}
+	return sim.Time(f), nil
 }
 
 func parseBool(s string) (bool, error) {

@@ -155,6 +155,10 @@ func TestParseINIErrors(t *testing.T) {
 		{"no-equals", "[latency]\nread 500\n"},
 		{"bad-model", "[model]\ntype = quantum\n"},
 		{"bad-pmc", "[model]\npmc = msr\n"},
+		{"nan-bandwidth", "[bandwidth]\nread = NaN\n"},
+		{"inf-latency", "[latency]\nwrite = -Inf\n"},
+		{"overflow-latency", "[latency]\nnvm_write = 1e13\n"},
+		{"overflow-epoch", "[epochs]\nmax = 1e7\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package cpu
 import (
 	"testing"
 
+	"github.com/quartz-emu/quartz/internal/mem"
 	"github.com/quartz-emu/quartz/internal/perf"
 	"github.com/quartz-emu/quartz/internal/sim"
 )
@@ -141,5 +142,64 @@ func BenchmarkCoreLoadRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 64 {
 		now += core.LoadRun(now, 0, 64, 64)
+	}
+}
+
+// flatMem is a MemorySystem with one fixed latency that records nothing, so
+// the benchmarks and allocation gates below measure the core alone.
+type flatMem struct{ lat sim.Time }
+
+func (flatMem) HomeNode(uintptr) int { return 0 }
+
+func (f flatMem) Access(now sim.Time, _ uintptr, _ mem.AccessKind, _ int) sim.Time {
+	return now + f.lat
+}
+
+// prefetchCore is testCore over flatMem with prefetch depth 4.
+func prefetchCore(t testing.TB) *Core {
+	t.Helper()
+	core, _ := testCore(t, 4)
+	core.memsys = flatMem{lat: 80 * sim.Nanosecond}
+	return core
+}
+
+// BenchmarkCorePrefetchFill measures the prefetch fill path: a sequential
+// stream arms the prefetcher, so every call probes L3 and L2 for each
+// proposed line and fills both levels with eviction once they are warm.
+func BenchmarkCorePrefetchFill(b *testing.B) {
+	core := prefetchCore(b)
+	addr := uintptr(0)
+	for i := 0; i < 4*(2<<20)/64; i++ { // warm L2 and L3 past capacity
+		core.prefetch(0, addr)
+		addr += 64
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.prefetch(sim.Time(i), addr)
+		addr += 64
+	}
+}
+
+// TestCorePrefetchFillNoAllocs gates the prefetch fill path: probing L3 and
+// L2 and filling both through the returned slots allocates nothing.
+func TestCorePrefetchFillNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	core := prefetchCore(t)
+	addr := uintptr(0)
+	fill := func() {
+		core.prefetch(0, addr)
+		addr += 64
+	}
+	for i := 0; i < 4*(2<<20)/64; i++ { // past L2 and L3 capacity: every fill evicts
+		fill()
+	}
+	if allocs := testing.AllocsPerRun(1000, fill); allocs != 0 {
+		t.Errorf("prefetch fill: %v allocs/op, want 0", allocs)
+	}
+	if got := core.L3().Stats().Evictions; got == 0 {
+		t.Error("the gate never reached a full-set fill")
 	}
 }

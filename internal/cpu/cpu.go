@@ -450,7 +450,10 @@ func (c *Core) insertWithWriteback(now sim.Time, level *cache.Cache, addr uintpt
 }
 
 // prefetch feeds the stream detector and issues proposed fills into L3 (and
-// L2) with future arrival times.
+// L2) with future arrival times. Each proposed line walks the L3 set and
+// the L2 set once: the probes that find it absent keep the slots the fills
+// then use (nothing touches either cache between a probe and its fill, as
+// the memory request and an L3 victim's writeback go to the controllers).
 func (c *Core) prefetch(now sim.Time, addr uintptr) {
 	if c.pf.Depth() == 0 {
 		return
@@ -464,11 +467,23 @@ func (c *Core) prefetch(now sim.Time, addr uintptr) {
 	}
 	for _, line := range c.pf.Observe(line) {
 		pAddr := line * lineSize
-		if c.l3.Contains(pAddr) || c.l2.Contains(pAddr) {
+		s3, in3 := c.l3.Probe(pAddr)
+		if in3 {
+			continue
+		}
+		s2, in2 := c.l2.Probe(pAddr)
+		if in2 {
 			continue
 		}
 		arrival := c.memsys.Access(now, pAddr, mem.Prefetch, c.socket)
-		c.insertWithWriteback(now, c.l3, pAddr, false, arrival)
-		c.insertWithWriteback(now, c.l2, pAddr, false, arrival)
+		c.fillSlot(now, c.l3, s3, arrival)
+		c.fillSlot(now, c.l2, s2, arrival)
+	}
+}
+
+// fillSlot is insertWithWriteback for a line a Probe found absent.
+func (c *Core) fillSlot(now sim.Time, level *cache.Cache, s cache.Slot, arrival sim.Time) {
+	if ev, evicted := level.InsertSlot(s, false, arrival); evicted && ev.Dirty {
+		c.memsys.Access(now, ev.Addr, mem.Writeback, c.socket)
 	}
 }
