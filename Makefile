@@ -29,12 +29,14 @@ docs-check:
 
 ci: docs-check test fuzz bench-alloc bench-smoke serve-smoke traffic-smoke asym-smoke profile-smoke
 
-# fuzz runs each parser and decoder fuzz target for a few seconds past its
+# fuzz runs each parser and decoder fuzz target (the ini parser, the
+# ledger decoder, quartzbench's -traffic-* flag parser) for a few seconds past its
 # committed seed corpus (testdata/fuzz/ beside the target; plain `go test`
 # replays the corpus alone). A failing input is written there too.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseINI$$' -fuzztime=3s ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeLedger$$' -fuzztime=3s ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzTrafficOverrides$$' -fuzztime=3s ./cmd/quartzbench
 
 # serve-smoke end-to-end checks the live introspection plane: quartzbench
 # -serve on an ephemeral port with a streaming ledger sink, probed by

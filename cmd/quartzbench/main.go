@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -49,6 +50,7 @@ import (
 	"github.com/quartz-emu/quartz/internal/obs/obshttp"
 	"github.com/quartz-emu/quartz/internal/obs/vtprof"
 	"github.com/quartz-emu/quartz/internal/runner"
+	"github.com/quartz-emu/quartz/internal/sim"
 	"github.com/quartz-emu/quartz/internal/workload"
 )
 
@@ -387,7 +389,10 @@ func applyTrafficOverrides(scale *experiments.Scale, clientsCSV, mixesCSV string
 		var lats []float64
 		for _, s := range strings.Split(latsCSV, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || v <= 0 {
+			// The latency must be a whole number of sim.Time units or more
+			// and fit one; NaN fails both comparisons, +Inf the second.
+			fs := v * float64(sim.Nanosecond)
+			if err != nil || !(fs >= 1 && fs < math.MaxInt64) {
 				return fmt.Errorf("-traffic-lats: %q is not a positive latency in ns", s)
 			}
 			lats = append(lats, v)

@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/experiments"
+	"github.com/quartz-emu/quartz/internal/sim"
+	"github.com/quartz-emu/quartz/internal/workload"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -120,9 +123,45 @@ func TestTrafficOverrides(t *testing.T) {
 	if err := applyTrafficOverrides(&s2, "", "", 0, "600,zero"); err == nil {
 		t.Error("non-numeric -traffic-lats accepted")
 	}
-	if err := applyTrafficOverrides(&s2, "", "", 0, "-200"); err == nil {
-		t.Error("negative -traffic-lats accepted")
+	for _, lats := range []string{"-200", "NaN", "600,Inf", "+inf", "1e300", "1e-9"} {
+		if err := applyTrafficOverrides(&s2, "", "", 0, lats); err == nil {
+			t.Errorf("-traffic-lats %q accepted", lats)
+		}
 	}
+}
+
+// FuzzTrafficOverrides feeds arbitrary flag values to the -traffic-*
+// parser. It must never panic, and a scale it accepts must be runnable:
+// every client count positive, every latency finite, positive and within
+// sim.Time's range, every mix a known preset, and the pool not negative.
+func FuzzTrafficOverrides(f *testing.F) {
+	f.Add("8, 24", "scan-blend", 9, "200, 600")
+	f.Add("", "", 0, "")
+	f.Add("1", "read-mostly,write-heavy", 0, "0.5")
+	f.Fuzz(func(t *testing.T, clients, mixes string, pool int, lats string) {
+		s := experiments.Quick
+		if err := applyTrafficOverrides(&s, clients, mixes, pool, lats); err != nil {
+			return
+		}
+		for _, n := range s.TrafficClients {
+			if n <= 0 {
+				t.Fatalf("accepted client count %d from %q", n, clients)
+			}
+		}
+		for _, v := range s.TrafficLatsNS {
+			if math.IsInf(v, 0) || sim.FromNanos(v) <= 0 {
+				t.Fatalf("accepted latency %v from %q", v, lats)
+			}
+		}
+		for _, name := range s.TrafficMixes {
+			if _, ok := workload.MixByName(name); !ok {
+				t.Fatalf("accepted unknown mix %q from %q", name, mixes)
+			}
+		}
+		if s.TrafficPool < 0 {
+			t.Fatalf("accepted pool %d", s.TrafficPool)
+		}
+	})
 }
 
 // TestServePprofNeedsServe: -serve-pprof only makes sense with a live

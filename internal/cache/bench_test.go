@@ -16,7 +16,8 @@ func benchCache(b *testing.B) *Cache {
 }
 
 // BenchmarkCacheLookupHit measures the repeat-hit walk — the single hottest
-// loop in the simulator (the MRU probe's best case).
+// loop in the simulator — on hits to each set's MRU way, which leave the
+// LRU ranks as they are.
 func BenchmarkCacheLookupHit(b *testing.B) {
 	c := benchCache(b)
 	for a := uintptr(0); a < 64; a++ {
@@ -95,5 +96,78 @@ func BenchmarkCacheInsertEvictRandom(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Insert(next(), false, 0)
+	}
+}
+
+// ivyLevels builds the Ivy Bridge hierarchy a core walks: 32 KiB 8-way L1,
+// 256 KiB 8-way L2 and a 25 MiB 20-way L3. The L3's line state (about
+// 10 MiB) does not fit the host's caches, so these benchmarks see how many
+// host cache lines a simulated set costs.
+func ivyLevels(b *testing.B) [3]*Cache {
+	b.Helper()
+	var lv [3]*Cache
+	for i, cfg := range []Config{
+		{Name: "L1d", SizeBytes: 32 << 10, Ways: 8, LineSize: 64},
+		{Name: "L2", SizeBytes: 256 << 10, Ways: 8, LineSize: 64},
+		{Name: "L3", SizeBytes: 25 << 20, Ways: 20, LineSize: 64},
+	} {
+		c, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lv[i] = c
+	}
+	return lv
+}
+
+// BenchmarkCacheMissFillL3 measures a demand load that misses all three
+// levels and fills them, LRU victim included — a pointer chase's path. The
+// lines are distinct (an odd multiplier permutes 2^32 line numbers), so
+// every timed access misses everywhere once the sets are full.
+func BenchmarkCacheMissFillL3(b *testing.B) {
+	lv := ivyLevels(b)
+	line := uint32(0)
+	access := func() {
+		line++
+		addr := uintptr(line*0x9e3779b1) * 64
+		for _, c := range lv {
+			if hit, _ := c.Lookup(addr, 0, false); hit {
+				return
+			}
+		}
+		for i := len(lv) - 1; i >= 0; i-- {
+			lv[i].Insert(addr, false, 0)
+		}
+	}
+	for i := 0; i < 2*(25<<20)/64; i++ { // fill every L3 set before timing
+		access()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		access()
+	}
+}
+
+// BenchmarkCacheStoreFlushLine measures a store miss that fills all three
+// levels, followed by a clflushopt of the line from each — a log writer's
+// path. The lines are sequential and each leaves its sets on the flush, so
+// every fill lands in a near-empty set.
+func BenchmarkCacheStoreFlushLine(b *testing.B) {
+	lv := ivyLevels(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := uintptr(i) * 64
+		if hit, _ := lv[0].Lookup(addr, 0, true); !hit {
+			lv[1].Lookup(addr, 0, false)
+			lv[2].Lookup(addr, 0, false)
+			lv[2].Insert(addr, false, 0)
+			lv[1].Insert(addr, false, 0)
+			lv[0].Insert(addr, true, 0)
+		}
+		for _, c := range lv {
+			c.Flush(addr)
+		}
 	}
 }

@@ -31,6 +31,8 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-ways", func(c *Config) { c.Ways = 0 }, true},
 		{"indivisible-ways", func(c *Config) { c.Ways = 3 }, true},
 		{"non-pow2-sets-ok", func(c *Config) { c.SizeBytes = 4096 * 3 / 2; c.Ways = 4 }, false},
+		{"64-ways-ok", func(c *Config) { c.SizeBytes = 64 * 64; c.Ways = 64 }, false},
+		{"65-ways", func(c *Config) { c.SizeBytes = 65 * 64; c.Ways = 65 }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -1,15 +1,16 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/quartz-emu/quartz/internal/sim"
 )
 
 // refCache is the pre-optimization reference model: an array of per-line
-// records walked linearly, with no MRU hint, no tag+1 encoding and no
-// last-hit fast path. The optimized Cache must be observably
-// indistinguishable from it — same hit/miss outcomes, waits, victims and
+// records walked linearly, with a last-touch clock per line for LRU, no
+// tag+1 encoding and no last-hit fast path. The optimized Cache must be
+// observably indistinguishable from it — same hit/miss outcomes, waits, victims and
 // statistics on any operation sequence — which is the determinism gate for
 // the hot-path layout work.
 type refCache struct {
@@ -146,10 +147,13 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 		{Name: "direct-mapped", SizeBytes: 64 * 64, Ways: 1, LineSize: 64, LookupLat: sim.Nanosecond},
 		{Name: "16-way", SizeBytes: 16 * 32 * 64, Ways: 16, LineSize: 64, LookupLat: sim.Nanosecond},
 		{Name: "20-way", SizeBytes: 20 * 16 * 64, Ways: 20, LineSize: 64, LookupLat: sim.Nanosecond},
+		{Name: "7-way", SizeBytes: 7 * 16 * 64, Ways: 7, LineSize: 64, LookupLat: sim.Nanosecond},
+		{Name: "24-way", SizeBytes: 24 * 16 * 64, Ways: 24, LineSize: 64, LookupLat: sim.Nanosecond},
+		{Name: "64-way", SizeBytes: 64 * 8 * 64, Ways: 64, LineSize: 64, LookupLat: sim.Nanosecond},
 	} {
 		t.Run(cfg.Name, func(t *testing.T) {
 			outerCfg := Config{Name: cfg.Name + "-outer", SizeBytes: 2 * cfg.SizeBytes,
-				Ways: 2 * cfg.Ways, LineSize: cfg.LineSize, LookupLat: sim.Nanosecond}
+				Ways: min(2*cfg.Ways, maxWays), LineSize: cfg.LineSize, LookupLat: sim.Nanosecond}
 			opt, outer := mustCache(t, cfg), mustCache(t, outerCfg)
 			ref, refOuter := newRefCache(cfg), newRefCache(outerCfg)
 			x := uint64(0x9e3779b97f4a7c15)
@@ -184,6 +188,16 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 				}
 				return s, in
 			}
+			// After every op, the blocks of the two sets it could touch
+			// must hold a valid layout.
+			checkSets := func(op int, addr uintptr) {
+				t.Helper()
+				for _, c := range []*Cache{opt, outer} {
+					if err := c.checkBlock(c.setOf(c.tagOf(addr))); err != nil {
+						t.Fatalf("op %d: %s: %v", op, c.cfg.Name, err)
+					}
+				}
+			}
 			var freeFills, fullFills int
 			for op := 0; op < 60_000; op++ {
 				addr := uintptr(rnd(pool)) * uintptr(cfg.LineSize) / 2
@@ -216,7 +230,7 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 						break
 					}
 					for _, s := range []Slot{so, sp} {
-						if s.idx < 0 {
+						if s.way < 0 {
 							fullFills++
 						} else {
 							freeFills++
@@ -244,6 +258,14 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 					}
 					insert(op, opt, ref, addr, markDirty, now)
 				}
+				checkSets(op, addr)
+			}
+			for _, c := range []*Cache{opt, outer} {
+				for set := range c.numSets {
+					if err := c.checkBlock(set); err != nil {
+						t.Fatalf("end of trace: %s: %v", c.cfg.Name, err)
+					}
+				}
 			}
 			if opt.Stats() != ref.stats {
 				t.Errorf("final stats diverged: opt %+v, ref %+v", opt.Stats(), ref.stats)
@@ -256,6 +278,44 @@ func TestOptimizedMatchesReferenceTrace(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkBlock reports the first breach of set's block layout invariant:
+// the valid ways' ranks are a permutation of 0..V-1, V counts the nonzero
+// signatures, and invalid ways and padding read 0 (rank lanes, signature
+// lanes, dirty bits and whole padding words).
+func (c *Cache) checkBlock(set int) error {
+	off := c.blockOff(set)
+	b := c.blocks[off : off+1<<c.blockShift]
+	dirtyMask, v := b[dirtyWord], int(b[countWord])
+	seen := make([]bool, c.ways)
+	valid := 0
+	for way := range 8 * c.nWords {
+		sig, rank := c.lane(off+c.sigWord0, way), c.lane(off+rankWord0, way)
+		dirty := dirtyMask>>way&1 != 0
+		switch {
+		case way < c.ways && sig != 0:
+			valid++
+			if int(rank) >= v || seen[rank] {
+				return fmt.Errorf("set %d way %d: rank %d repeats or is not below V=%d", set, way, rank, v)
+			}
+			seen[rank] = true
+		case rank != 0 || sig != 0 || dirty:
+			return fmt.Errorf("set %d way %d: invalid way or padding lane reads sig %d rank %d dirty %v", set, way, sig, rank, dirty)
+		}
+	}
+	if valid != v {
+		return fmt.Errorf("set %d: V=%d but %d nonzero signatures", set, v, valid)
+	}
+	if c.ways < 64 && dirtyMask>>c.ways != 0 {
+		return fmt.Errorf("set %d: dirty bits beyond the ways: %#x", set, dirtyMask)
+	}
+	for i, w := range b[c.sigWord0+c.nWords:] {
+		if w != 0 {
+			return fmt.Errorf("set %d: padding word %d reads %#x", set, i, w)
+		}
+	}
+	return nil
 }
 
 // TestTouchLastEquivalentToLookup drives two optimized caches with the same

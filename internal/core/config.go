@@ -176,12 +176,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. A zero time is unset (Attach
+// fills in its default), so MinEpoch is compared only with a set MaxEpoch.
 func (c Config) Validate() error {
-	if c.NVMLatency < 0 {
-		return fmt.Errorf("core: NVMLatency %v negative", c.NVMLatency)
+	for _, d := range []struct {
+		name string
+		v    sim.Time
+	}{
+		{"NVMLatency", c.NVMLatency},
+		{"DRAMLatency", c.DRAMLatency},
+		{"WriteLatency", c.WriteLatency},
+		{"NVMWriteLatency", c.NVMWriteLatency},
+		{"MinEpoch", c.MinEpoch},
+		{"MaxEpoch", c.MaxEpoch},
+		{"MonitorInterval", c.MonitorInterval},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("core: %s %v negative", d.name, d.v)
+		}
 	}
-	if c.MinEpoch > c.MaxEpoch {
+	if c.MaxEpoch > 0 && c.MinEpoch > c.MaxEpoch {
 		return fmt.Errorf("core: MinEpoch %v exceeds MaxEpoch %v", c.MinEpoch, c.MaxEpoch)
 	}
 	if c.NVMBandwidth < 0 {
@@ -189,9 +203,6 @@ func (c Config) Validate() error {
 	}
 	if c.NVMWriteBandwidth < 0 {
 		return fmt.Errorf("core: NVMWriteBandwidth %g negative", c.NVMWriteBandwidth)
-	}
-	if c.NVMWriteLatency < 0 {
-		return fmt.Errorf("core: NVMWriteLatency %v negative", c.NVMWriteLatency)
 	}
 	for i, bw := range c.WriteBandwidthByThreads {
 		if bw <= 0 {

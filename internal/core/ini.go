@@ -51,6 +51,8 @@ import (
 //	spin_poll_cycles   = 20         ; rdtscp polling granularity of the spin loop
 //
 // Comments start with ';' or '#'. Booleans accept true/false/1/0/yes/no.
+// A configuration Config.Validate rejects (a negative time, for one) is an
+// error.
 // See doc/config.md for the full key-by-key reference against core.Config.
 func ParseINI(r io.Reader) (Config, error) {
 	var cfg Config
@@ -249,6 +251,9 @@ func ParseINI(r io.Reader) (Config, error) {
 	if bandwidthEnabled {
 		cfg.NVMBandwidth = bwReadMB * 1e6
 		cfg.NVMWriteBandwidth = bwWriteMB * 1e6
+	}
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
 	}
 	return cfg, nil
 }

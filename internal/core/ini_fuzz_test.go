@@ -14,8 +14,9 @@ import (
 // package; and a configuration it accepts must be one it can have meant:
 // finite bandwidths and no time produced by converting a NaN, an infinity
 // or an out-of-range number (amd64 turns each into MinInt64, other targets
-// saturate to either end of the range).
-// Parsing the same text twice must give the same configuration.
+// saturate to either end of the range). It must also validate, so no time
+// in it is negative. Parsing the same text twice must give the same
+// configuration.
 func FuzzParseINI(f *testing.F) {
 	f.Add(sampleINI)
 	f.Add("[latency]\nread = 400\n[epochs]\nmin = 0.05\nmax = 2\n")
@@ -51,6 +52,12 @@ func FuzzParseINI(f *testing.F) {
 			if v == math.MinInt64 || v == math.MaxInt64 {
 				t.Fatalf("accepted %q with %s from an unrepresentable number", in, name)
 			}
+			if v < 0 {
+				t.Fatalf("accepted %q with negative %s = %v", in, name, v)
+			}
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted %q, which does not validate: %v", in, err)
 		}
 		again, err := ParseINI(strings.NewReader(in))
 		if err != nil || !reflect.DeepEqual(cfg, again) {

@@ -159,6 +159,11 @@ func TestParseINIErrors(t *testing.T) {
 		{"inf-latency", "[latency]\nwrite = -Inf\n"},
 		{"overflow-latency", "[latency]\nnvm_write = 1e13\n"},
 		{"overflow-epoch", "[epochs]\nmax = 1e7\n"},
+		{"negative-write", "[latency]\nwrite = -300\n"},
+		{"negative-dram", "[latency]\ndram = -5\n"},
+		{"negative-min-epoch", "[epochs]\nmin = -2\n"},
+		{"negative-max-epoch", "[epochs]\nmax = -1\n"},
+		{"negative-monitor", "[epochs]\nmonitor_interval = -1\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/quartz-emu/quartz/internal/sim"
 )
@@ -478,7 +479,9 @@ func decodeBinaryLedger(br *bufio.Reader) ([]EpochRecord, error) {
 
 var errShortPayload = errors.New("truncated payload")
 
-// decodeBinaryPayload is the inverse of appendBinaryPayload.
+// decodeBinaryPayload is the inverse of appendBinaryPayload. It accepts
+// only records the JSONL encoding can carry exactly: a finite
+// LDMStallCycles and valid UTF-8 strings.
 func decodeBinaryPayload(p []byte) (EpochRecord, error) {
 	d := payloadReader{p: p}
 	var rec EpochRecord
@@ -509,6 +512,12 @@ func decodeBinaryPayload(p []byte) (EpochRecord, error) {
 	}
 	if len(d.p) != 0 {
 		return EpochRecord{}, fmt.Errorf("%d trailing bytes", len(d.p))
+	}
+	if math.IsNaN(rec.LDMStallCycles) || math.IsInf(rec.LDMStallCycles, 0) {
+		return EpochRecord{}, fmt.Errorf("non-finite LDMStallCycles %v", rec.LDMStallCycles)
+	}
+	if !utf8.ValidString(rec.Thread) || !utf8.ValidString(rec.Reason) {
+		return EpochRecord{}, errors.New("string is not valid UTF-8")
 	}
 	return rec, nil
 }

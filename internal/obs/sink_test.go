@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -313,6 +314,31 @@ func TestDecodeLedgerEmptyAndGarbage(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-3]
 	if _, err := DecodeLedger(bytes.NewReader(cut)); err == nil {
 		t.Error("truncated binary stream decoded without error")
+	}
+}
+
+// TestDecodeLedgerRejectsWhatJSONCannotCarry: a binary record with a
+// non-finite LDMStallCycles or an invalid UTF-8 string is a decode error,
+// so every ledger that decodes can be re-encoded as JSONL without loss
+// (appendJSONFloat panics on a NaN or an infinity).
+func TestDecodeLedgerRejectsWhatJSONCannotCarry(t *testing.T) {
+	for name, mutate := range map[string]func(*EpochRecord){
+		"nan-stall":      func(r *EpochRecord) { r.LDMStallCycles = math.NaN() },
+		"inf-stall":      func(r *EpochRecord) { r.LDMStallCycles = math.Inf(-1) },
+		"invalid-thread": func(r *EpochRecord) { r.Thread = "worker-\xff" },
+		"invalid-reason": func(r *EpochRecord) { r.Reason = "\xc3" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := fullRecord(0)
+			mutate(&rec)
+			var buf bytes.Buffer
+			if err := NewWriterSink(&buf, FormatBinary).Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeLedger(&buf); err == nil {
+				t.Error("decoded without error")
+			}
+		})
 	}
 }
 
